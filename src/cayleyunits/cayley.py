@@ -21,11 +21,15 @@ from .algebra import (
     oracle_inverse,
     SkewGenerator,
 )
-from .groups import FiniteGroup, Orientation, symmetric3
+from .groups import FiniteGroup, Orientation, cyclic, orientation_from_generators, symmetric3
 
 
 class WrongKindError(ValueError):
     """The group element does not have the shape this constructor needs."""
+
+
+class CertificationError(ArithmeticError):
+    """A constructed element failed the exact identity that certifies it."""
 
 
 @dataclass
@@ -36,6 +40,28 @@ class CayleyResult:
     beta: AlgebraElement
     method: str
     inverse_of_one_plus_beta: AlgebraElement
+
+
+def certify(result: CayleyResult, orientation: Orientation | None) -> CayleyResult:
+    """Return ``result`` once the identities that make its unit a Cayley unit hold.
+
+    Raises CertificationError unless beta is skew-symmetric,
+    (1 + beta) * inverse == 1 and unit * (1 + beta) == 1 - beta. Each
+    product has 1 + beta, sparse in the closed forms, as a factor.
+    Unitarity follows without the dense product u * u^*: 1 - beta =
+    (1 + beta)^* is invertible and commutes with 1 + beta, so
+
+        u u^* = (1 - beta)(1 + beta)^-1 (1 - beta)^-1 (1 + beta) = 1.
+    """
+    beta = result.beta
+    one = AlgebraElement.one(beta.group)
+    if not is_skew(beta, orientation):
+        raise CertificationError(f"{result.method} result: beta is not skew-symmetric")
+    if (one + beta) * result.inverse_of_one_plus_beta != one:
+        raise CertificationError(f"{result.method} result: (1 + beta) * inverse is not 1")
+    if result.unit * (one + beta) != one - beta:
+        raise CertificationError(f"{result.method} result: unit * (1 + beta) is not 1 - beta")
+    return result
 
 
 def _check_orientation(group: FiniteGroup, orientation: Orientation | None) -> None:
@@ -70,9 +96,7 @@ def cayley_transform(
     inverse = oracle_inverse(one + beta)
     if inverse is None:
         return None
-    unit = (one - beta) * inverse
-    assert is_unitary(unit, orientation)
-    return CayleyResult(unit, beta, "oracle", inverse)
+    return CayleyResult((one - beta) * inverse, beta, "oracle", inverse)
 
 
 def cayley_from_difference(
@@ -82,8 +106,8 @@ def cayley_from_difference(
 
     1 + beta is invertible for every rational q, so this never returns
     None. The coefficients live on the powers of x and come from the
-    Fibonacci-like sequence; the construction re-checks the product
-    identities exactly.
+    Fibonacci-like sequence; the result is certified before it is
+    returned.
     """
     _check_orientation(group, orientation)
     f = Fraction(q)
@@ -100,10 +124,7 @@ def cayley_from_difference(
     b = sequences.unit_coeffs_difference(a, n, f)
     inverse = _on_powers(group, x, a)
     unit = _on_powers(group, x, b)
-    assert (one + beta) * inverse == one
-    assert unit * (one + beta) == one - beta
-    assert is_unitary(unit, orientation)
-    return CayleyResult(unit, beta, "closed-form", inverse)
+    return certify(CayleyResult(unit, beta, "closed-form", inverse), orientation)
 
 
 def cayley_from_self_inverse(
@@ -126,14 +147,10 @@ def cayley_from_self_inverse(
     beta = AlgebraElement(group, {x: f})
     if f == 1 or f == -1:
         return None
-    one = AlgebraElement.one(group)
     d = 1 - f * f
     inverse = AlgebraElement(group, {group.identity: 1 / d, x: -f / d})
     unit = AlgebraElement(group, {group.identity: (1 + f * f) / d, x: -2 * f / d})
-    assert (one + beta) * inverse == one
-    assert unit * (one + beta) == one - beta
-    assert is_unitary(unit, orientation)
-    return CayleyResult(unit, beta, "closed-form", inverse)
+    return certify(CayleyResult(unit, beta, "closed-form", inverse), orientation)
 
 
 def cayley_from_sum(
@@ -155,13 +172,9 @@ def cayley_from_sum(
     if a is None:
         return None
     b = sequences.unit_coeffs_sum(a)
-    one = AlgebraElement.one(group)
     inverse = _on_powers(group, x, a)
     unit = _on_powers(group, x, b)
-    assert (one + beta) * inverse == one
-    assert unit * (one + beta) == one - beta
-    assert is_unitary(unit, orientation)
-    return CayleyResult(unit, beta, "closed-form", inverse)
+    return certify(CayleyResult(unit, beta, "closed-form", inverse), orientation)
 
 
 def cayley_from_generator(
@@ -175,7 +188,7 @@ def cayley_from_generator(
     if sg.kind == "L3":
         if Fraction(q) != 1:
             raise ValueError("sum generators have no closed form for q != 1; "
-                             "use cayley_transform on the scaled element")
+                             "use the generic transform")
         return cayley_from_sum(sg.group, sg.base, orientation)
     raise ValueError(f"unknown skew generator kind {sg.kind!r}")
 
@@ -191,12 +204,24 @@ def inverse_of_one_plus(group: FiniteGroup, x: int) -> AlgebraElement | None:
     if n % 2 == 0:
         return None
     half = Fraction(1, 2)
-    pairs = []
-    g = group.identity
-    for i in range(n):
-        pairs.append((g, -half if i % 2 else half))
-        g = group.mul[g][x]
-    return AlgebraElement(group, pairs)
+    return _on_powers(group, x, [-half if i % 2 else half for i in range(n)])
+
+
+TABLE_ORDERS = (4, 8, 10, 14, 16)
+
+
+def table_rows(orders) -> list[tuple[int, CayleyResult | None]]:
+    """Units for beta = z + z^-1 in cyclic groups of the given even orders.
+
+    Each row is (order, CayleyResult or None); None marks the orders
+    divisible by 6, where 1 + beta is not invertible.
+    """
+    rows = []
+    for n in orders:
+        group = cyclic(n, "z")
+        orientation = orientation_from_generators(group, {"z": -1})
+        rows.append((n, cayley_from_sum(group, group.index_of("z"), orientation)))
+    return rows
 
 
 def cayley_preimage_of_odd_element(group: FiniteGroup, x: int) -> AlgebraElement:
@@ -208,7 +233,7 @@ def cayley_preimage_of_odd_element(group: FiniteGroup, x: int) -> AlgebraElement
 
     is skew-symmetric with 1 + beta = 2 * (1 + x)^-1, so the transform
     returns x exactly. The identity (1 + x)(1 + beta) = 2 is re-checked
-    before returning.
+    before returning; CertificationError reports a failure.
     """
     n = group.element_order(x)
     if n == 1 or n % 2 == 0:
@@ -220,7 +245,8 @@ def cayley_preimage_of_odd_element(group: FiniteGroup, x: int) -> AlgebraElement
     beta = AlgebraElement(group, pairs)
     one = AlgebraElement.one(group)
     x_elem = AlgebraElement.basis_element(group, x)
-    assert (one + x_elem) * (one + beta) == 2 * one
+    if (one + x_elem) * (one + beta) != 2 * one:
+        raise CertificationError("(1 + x) * (1 + beta) is not 2")
     return beta
 
 

@@ -1,7 +1,8 @@
 """Command line: build units, list skew generators, run the verifier.
 
 Exit codes: 0 success, 2 the requested element is not invertible,
-3 invalid input, 4 a verification suite reported failures.
+3 invalid input, 4 a verification suite reported failures, 5 an exact
+arithmetic check failed (a result that does not certify).
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import element_to_json, format_element, materialize, oracle_inverse, skew_basis
-from .cayley import (
-    cayley_from_difference,
-    cayley_from_self_inverse,
-    cayley_from_sum,
-    cayley_transform,
+from .algebra import (
+    SkewGenerator,
+    element_to_json,
+    format_element,
+    materialize,
+    oracle_inverse,
+    skew_basis,
 )
+from .cayley import TABLE_ORDERS, cayley_from_generator, cayley_transform, table_rows
 from .groups import (
     FiniteGroup,
     Orientation,
@@ -33,14 +36,13 @@ from .groups import (
     symmetric3,
 )
 from .parsing import parse_element
-from .verify import run_suite, table_rows
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_NOT_INVERTIBLE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_VERIFICATION_FAILED = 4
-
-DEFAULT_TABLE_ORDERS = (4, 8, 10, 14, 16)
+EXIT_ARITHMETIC_ERROR = 5
 
 _CATALOG = {"d4": dihedral4, "q8": quaternion8, "s3": symmetric3}
 
@@ -126,7 +128,7 @@ def _print_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
 
 def cmd_table(args) -> int:
     if args.orders is None:
-        orders = list(DEFAULT_TABLE_ORDERS)
+        orders = list(TABLE_ORDERS)
     else:
         try:
             orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
@@ -168,17 +170,8 @@ def cmd_unit(args) -> int:
         beta = q * parse_element(args.element, group)
         result = cayley_transform(beta, orientation)
     else:
-        x = _single_group_element(group, args.element)
-        if args.kind == "L1":
-            result = cayley_from_difference(group, x, q, orientation)
-        elif args.kind == "L2":
-            result = cayley_from_self_inverse(group, x, q, orientation)
-        else:
-            if q != 1:
-                raise CliInputError(
-                    "sum generators have no closed form for q != 1; use --kind generic"
-                )
-            result = cayley_from_sum(group, x, orientation)
+        sg = SkewGenerator(args.kind, group, _single_group_element(group, args.element))
+        result = cayley_from_generator(sg, q, orientation)
     if result is None:
         print("not invertible: 1 + beta is a zero divisor", file=sys.stderr)
         return EXIT_NOT_INVERTIBLE
@@ -275,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default md)")
 
     p = sub.add_parser("table", help="units for z + z^-1 in cyclic groups of even order")
-    p.add_argument("--orders", help="comma-separated even orders (default 4,8,10,14,16)")
+    p.add_argument("--orders", help="comma-separated even orders (default "
+                   + ",".join(map(str, TABLE_ORDERS)) + ")")
     add_format(p)
     p.set_defaults(handler=cmd_table)
 
@@ -286,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shape of beta: L1 = q*(g - g^-1), L2 = q*g, L3 = g + g^-1, "
                         "generic = q times any skew expression")
     p.add_argument("--element", required=True,
-                   help="a group element (or any skew expression for --kind generic)")
+                   help="a group element (or any skew expression for --kind generic); "
+                        "write a leading minus sign as --element=-x")
     p.add_argument("--q", default="1", help="rational scalar (default 1)")
     add_format(p)
     p.set_defaults(handler=cmd_unit)
@@ -299,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inverse", help="exact inverse of an algebra element, if any")
     p.add_argument("--group", required=True, help="C<n>, D4, Q8, S3 or a group-table file")
-    p.add_argument("--element", required=True, help="an algebra-element expression")
+    p.add_argument("--element", required=True,
+                   help="an algebra-element expression; write a leading minus sign "
+                        "as --element=-x")
     add_format(p)
     p.set_defaults(handler=cmd_inverse)
 
@@ -323,6 +320,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARITHMETIC_ERROR
 
 
 if __name__ == "__main__":

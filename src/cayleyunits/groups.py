@@ -60,11 +60,9 @@ class FiniteGroup:
             raise ValueError(f"no element named {word!r} in {self.name}") from None
 
     def power(self, g: int, k: int) -> int:
-        """g**k, with negative exponents through the inverse."""
-        if k < 0:
-            g, k = self.inv[g], -k
+        """g**k for any integer k, at a cost bounded by the order of g."""
         acc = self.identity
-        for _ in range(k):
+        for _ in range(k % self.element_order(g)):
             acc = self.mul[acc][g]
         return acc
 

@@ -27,13 +27,7 @@ def fibonacci_like(q, i: int) -> Fraction:
     """G_0 = 0, G_1 = 1, G_i = q^2 G_{i-2} + G_{i-1}; Fibonacci at q = 1."""
     if i < 0:
         raise ValueError("index must be non-negative")
-    q2 = Fraction(q) ** 2
-    if i == 0:
-        return Fraction(0)
-    a, b = Fraction(0), Fraction(1)
-    for _ in range(i - 1):
-        a, b = b, q2 * a + b
-    return b
+    return _fibonacci_like_list(Fraction(q), i)[i]
 
 
 def _fibonacci_like_list(q: Fraction, upto: int) -> list[Fraction]:

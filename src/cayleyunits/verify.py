@@ -24,6 +24,8 @@ from .algebra import (
     solve_linear,
 )
 from .cayley import (
+    TABLE_ORDERS,
+    _on_powers,
     cayley_from_difference,
     cayley_from_generator,
     cayley_from_sum,
@@ -32,6 +34,7 @@ from .cayley import (
     is_cayley_unit,
     is_product_of_two_cayley,
     s3_factorization_identity,
+    table_rows,
 )
 from .groups import (
     FiniteGroup,
@@ -94,15 +97,6 @@ def _random_skew(rng: random.Random, group, orientation) -> AlgebraElement:
 def _mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _element_on_powers(group: FiniteGroup, x: int, coeffs) -> AlgebraElement:
-    pairs = []
-    g = group.identity
-    for c in coeffs:
-        pairs.append((g, c))
-        g = group.mul[g][x]
-    return AlgebraElement(group, pairs)
 
 
 def suite_involutions() -> list[CheckResult]:
@@ -222,26 +216,9 @@ def suite_sequences() -> list[CheckResult]:
     return out
 
 
-_TABLE_ORDERS = (4, 8, 10, 14, 16)
-
-
-def table_rows(orders) -> list[tuple[int, object]]:
-    """Units for beta = z + z^-1 in cyclic groups of the given even orders.
-
-    Each row is (order, CayleyResult or None); None marks the orders
-    divisible by 6, where 1 + beta is not invertible.
-    """
-    rows = []
-    for n in orders:
-        group = cyclic(n, "z")
-        orientation = orientation_from_generators(group, {"z": -1})
-        rows.append((n, cayley_from_sum(group, group.index_of("z"), orientation)))
-    return rows
-
-
 def suite_table() -> list[CheckResult]:
     out = []
-    for n, result in table_rows(_TABLE_ORDERS):
+    for n, result in table_rows(TABLE_ORDERS):
         group = cyclic(n, "z")
         orientation = orientation_from_generators(group, {"z": -1})
         z = group.index_of("z")
@@ -290,7 +267,7 @@ def suite_examples() -> list[CheckResult]:
         x = group.index_of("x")
         for q in _Q_GRID:
             d = 1 + 4 * q * q
-            expected = _element_on_powers(group, x, [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
+            expected = _on_powers(group, x, [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
             if cayley_from_difference(group, x, q).unit != expected:
                 ok = False
     out.append(_check("order-4 difference units match their formula in C4, Q8 and D4", ok))
@@ -300,7 +277,7 @@ def suite_examples() -> list[CheckResult]:
     ok = True
     for word in ("y", "x*y"):
         z = q8.index_of(word)
-        expected = _element_on_powers(
+        expected = _on_powers(
             q8, z, [Fraction(-1, 3), Fraction(2, 3), Fraction(-4, 3), Fraction(2, 3)]
         )
         result = cayley_from_sum(q8, z, orientation)

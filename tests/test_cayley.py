@@ -1,12 +1,20 @@
 """Cayley transforms: closed forms, the oracle path, and the predicates."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cayleyunits
 from cayleyunits import (
     AlgebraElement,
+    CertificationError,
     WrongKindError,
     cayley_from_difference,
     cayley_from_generator,
@@ -14,6 +22,7 @@ from cayleyunits import (
     cayley_from_sum,
     cayley_preimage_of_odd_element,
     cayley_transform,
+    certify,
     cyclic,
     dihedral4,
     inverse_of_one_plus,
@@ -238,6 +247,47 @@ def test_generator_dispatch_agrees_with_direct_calls():
         l3 = next(sg for sg in skew_basis(Q8, orientation_from_generators(
             Q8, {"x": 1, "y": -1})) if sg.kind == "L3")
         cayley_from_generator(l3, 2, orientation_from_generators(Q8, {"x": 1, "y": -1}))
+
+
+def test_certify_raises_on_each_failed_identity():
+    group = cyclic(8)
+    orientation = orientation_from_generators(group, {"x": -1})
+    good = cayley_from_sum(group, 1, orientation)
+    assert certify(good, orientation) is good
+    x = AlgebraElement.basis_element(group, 1)
+    for bad, message in (
+        (dataclasses.replace(good, beta=x), "skew"),
+        (dataclasses.replace(good, inverse_of_one_plus_beta=good.inverse_of_one_plus_beta + x),
+         "inverse is not 1"),
+        (dataclasses.replace(good, unit=good.unit + x), "is not 1 - beta"),
+    ):
+        with pytest.raises(CertificationError, match=message):
+            certify(bad, orientation)
+    assert issubclass(CertificationError, ArithmeticError)
+
+
+def test_certification_holds_under_optimized_python():
+    # python -O strips assert statements; the certificate must still reject
+    # a closed form whose first coefficient is wrong.
+    child = textwrap.dedent("""
+        import cayleyunits
+        from cayleyunits import sequences
+
+        correct = sequences.inverse_coeffs_sum
+        sequences.inverse_coeffs_sum = lambda n: [correct(n)[0] + 1] + correct(n)[1:]
+        group = cayleyunits.cyclic(8)
+        orientation = cayleyunits.orientation_from_generators(group, {"x": -1})
+        try:
+            cayleyunits.cayley_from_sum(group, 1, orientation)
+        except cayleyunits.CertificationError as exc:
+            print(__debug__, type(exc).__name__)
+    """)
+    src = Path(cayleyunits.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False CertificationError\n"
 
 
 def test_preimage_of_odd_element():

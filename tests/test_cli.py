@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayleyunits import sequences
 from cayleyunits.cli import main
 
 EXPECTED_TABLE_MD = """\
@@ -130,6 +131,19 @@ def test_unit_invalid_inputs(capsys):
     assert code == 3
 
 
+def test_unit_failed_certificate_exits_5(capsys, monkeypatch):
+    correct = sequences.inverse_coeffs_sum
+    monkeypatch.setattr(sequences, "inverse_coeffs_sum",
+                        lambda n: [correct(n)[0] + 1] + correct(n)[1:])
+    code, out, err = run(
+        capsys, "unit", "--group", "C8", "--orient", "x:-1", "--kind", "L3", "--element", "x",
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "(1 + beta) * inverse is not 1" in err
+
+
 def test_skew_basis_output(capsys):
     code, out, _ = run(capsys, "skew-basis", "--group", "D4", "--orient", "x:-1,y:+1")
     assert code == 0
@@ -166,6 +180,12 @@ def test_inverse_command(capsys):
     assert "not invertible" in err
     code, _, err = run(capsys, "inverse", "--group", "C4", "--element", "1 + w")
     assert code == 3
+
+
+def test_leading_minus_element_with_equals_sign(capsys):
+    code, out, _ = run(capsys, "inverse", "--group", "C5", "--element=-x")
+    assert code == 0
+    assert "inverse: -x^4" in out
 
 
 def test_inverse_json(capsys):

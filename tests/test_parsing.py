@@ -32,6 +32,12 @@ def test_parse_sums_and_powers():
     assert parse_element("x^6", C4) == AlgebraElement.basis_element(C4, 2)
 
 
+def test_parse_huge_exponents_reduce_by_the_element_order():
+    c5 = cyclic(5)
+    assert parse_element("x^1000000000001", c5) == parse_element("x", c5)
+    assert parse_element("x^-1000000000001", c5) == parse_element("x^4", c5)
+
+
 def test_parse_rational_coefficients():
     assert parse_element("2/3*x*y", D4) == AlgebraElement(
         D4, {D4.mul[1][D4.index_of("y")]: Fraction(2, 3)}
