@@ -1,16 +1,19 @@
 """Exact group-algebra arithmetic over the rational numbers.
 
-Elements are finitely supported rational combinations of group
-elements. Everything is exact: coefficients are fractions, products
-are table lookups, and invertibility questions reduce to Gaussian
-elimination on the left-regular representation.
+Elements are rational combinations of group elements, stored as integer
+numerators over one common denominator. Everything is exact: products
+are table lookups on integers, and invertibility questions reduce to
+fraction-free elimination on the left-regular representation.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .groups import FiniteGroup, Orientation
 
@@ -23,107 +26,144 @@ class GroupMismatchError(ValueError):
 
 
 def _check_same_group(left: FiniteGroup, right: FiniteGroup) -> None:
-    if left != right:
+    if left is not right and left != right:
         raise GroupMismatchError(f"groups differ: {left.name} vs {right.name}")
 
 
 class AlgebraElement:
     """A rational combination of the elements of a finite group.
 
-    Instances are treated as immutable: all arithmetic returns new
-    elements and zero coefficients are never stored, so equality is
-    plain dictionary equality.
+    The coefficient of element g is ``num[g] / den``: ``num`` is a tuple
+    of integers, one per group element, and ``den`` is positive and
+    shares no factor with all of ``num`` at once (zero is ``den == 1``).
+    That form is unique, so equality is structural. Instances are
+    treated as immutable: all arithmetic returns new elements.
     """
 
-    __slots__ = ("group", "coeff")
+    __slots__ = ("group", "num", "den", "_coeff")
 
     def __init__(self, group: FiniteGroup, coeff=None) -> None:
-        self.group = group
-        stored: dict[int, Fraction] = {}
+        """Build from a mapping or (element index, rational) pairs; repeats add up."""
+        terms: dict[int, Fraction] = {}
         if coeff:
-            items = coeff.items() if isinstance(coeff, dict) else coeff
+            items = coeff.items() if isinstance(coeff, Mapping) else coeff
             for g, c in items:
                 if not 0 <= g < group.order:
                     raise ValueError(f"element index {g} is out of range for {group.name}")
                 f = c if isinstance(c, Fraction) else Fraction(c)
-                if not f:
-                    continue
-                if g in stored:
-                    stored[g] += f
-                else:
-                    stored[g] = f
-            for g in [g for g, c in stored.items() if not c]:
-                del stored[g]
-        self.coeff = stored
+                terms[g] = terms[g] + f if g in terms else f
+        den = lcm(*[f.denominator for f in terms.values()])
+        num = [0] * group.order
+        for g, f in terms.items():
+            num[g] = f.numerator * (den // f.denominator)
+        self._set(group, num, den)
+
+    def _set(self, group: FiniteGroup, num: list[int], den: int) -> None:
+        """Store num / den in the normal form: gcd 1 and a positive denominator."""
+        common = gcd(den, *num)
+        if den < 0:
+            common = -common
+        if common != 1:
+            num = [c // common for c in num]
+            den //= common
+        self.group = group
+        self.num = tuple(num)
+        self.den = den
+        self._coeff = None
+
+    @classmethod
+    def _from_numerators(cls, group: FiniteGroup, num: list[int], den: int) -> "AlgebraElement":
+        """The element num / den, for a nonzero den of either sign."""
+        out = cls.__new__(cls)
+        out._set(group, num, den)
+        return out
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "AlgebraElement":
-        return cls(group)
+        return cls._from_numerators(group, [0] * group.order, 1)
 
     @classmethod
     def one(cls, group: FiniteGroup) -> "AlgebraElement":
-        return cls(group, {group.identity: _ONE})
+        return cls.basis_element(group, group.identity)
 
     @classmethod
     def basis_element(cls, group: FiniteGroup, g: int) -> "AlgebraElement":
         """The group element g as an algebra element."""
-        return cls(group, {g: _ONE})
+        if not 0 <= g < group.order:
+            raise ValueError(f"element index {g} is out of range for {group.name}")
+        num = [0] * group.order
+        num[g] = 1
+        return cls._from_numerators(group, num, 1)
+
+    @property
+    def coeff(self) -> Mapping[int, Fraction]:
+        """Read-only map from each element of the support to its coefficient."""
+        if self._coeff is None:
+            den = self.den
+            self._coeff = MappingProxyType(
+                {g: Fraction(c, den) for g, c in enumerate(self.num) if c}
+            )
+        return self._coeff
 
     def coefficient(self, g: int) -> Fraction:
         return self.coeff.get(g, _ZERO)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeff))
+        return tuple(g for g, c in enumerate(self.num) if c)
+
+    def _terms(self) -> list[tuple[int, int]]:
+        return [(g, c) for g, c in enumerate(self.num) if c]
 
     def __bool__(self) -> bool:
-        return bool(self.coeff)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.group == other.group and self.coeff == other.coeff
+        return (
+            self.den == other.den
+            and self.num == other.num
+            and (self.group is other.group or self.group == other.group)
+        )
+
+    def _combine(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
+        """self + sign * other over the least common denominator."""
+        _check_same_group(self.group, other.group)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        num = [a * sa + b * sb for a, b in zip(self.num, other.num)]
+        return AlgebraElement._from_numerators(self.group, num, den)
 
     def __add__(self, other) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        _check_same_group(self.group, other.group)
-        out = dict(self.coeff)
-        for g, c in other.coeff.items():
-            out[g] = out.get(g, _ZERO) + c
-        return AlgebraElement(self.group, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        _check_same_group(self.group, other.group)
-        out = dict(self.coeff)
-        for g, c in other.coeff.items():
-            out[g] = out.get(g, _ZERO) - c
-        return AlgebraElement(self.group, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: -c for g, c in self.coeff.items()})
+        return AlgebraElement._from_numerators(self.group, [-c for c in self.num], self.den)
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             _check_same_group(self.group, other.group)
-            # Convolve integer numerators over one common denominator per
-            # operand; only the output coefficients become fractions.
-            left, da = _integer_numerators(self.coeff.values())
-            right, db = _integer_numerators(other.coeff.values())
-            right_terms = list(zip(other.coeff, right))
+            # Convolve the numerators; the denominators multiply.
             mul = self.group.mul
-            out: dict[int, int] = {}
-            for g, a in zip(self.coeff, left):
+            right = other._terms()
+            out = [0] * len(mul)
+            for g, a in self._terms():
                 row = mul[g]
-                for h, b in right_terms:
-                    k = row[h]
-                    out[k] = out.get(k, 0) + a * b
-            d = da * db
-            return AlgebraElement(self.group, {k: Fraction(v, d) for k, v in out.items() if v})
+                for h, b in right:
+                    out[row[h]] += a * b
+            return AlgebraElement._from_numerators(self.group, out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return AlgebraElement(self.group, {g: c * f for g, c in self.coeff.items()})
+            p = other.numerator
+            return AlgebraElement._from_numerators(
+                self.group, [c * p for c in self.num], self.den * other.denominator
+            )
         return NotImplemented
 
     def __rmul__(self, other) -> "AlgebraElement":
@@ -140,6 +180,8 @@ class AlgebraElement:
 
 def _integer_numerators(values) -> tuple[list[int], int]:
     """The rationals as integer numerators over their least common denominator."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
     d = lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
 
@@ -150,12 +192,11 @@ def format_element(a: AlgebraElement) -> str:
     Terms are ordered by element index; the output parses back to an
     equal element.
     """
-    if not a.coeff:
+    if not a:
         return "0"
     parts: list[str] = []
-    for g in sorted(a.coeff):
-        c = a.coeff[g]
-        body = _term_body(a.group, g, abs(c))
+    for g, c in a._terms():
+        body = _term_body(a.group, g, abs(c), a.den)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -163,27 +204,32 @@ def format_element(a: AlgebraElement) -> str:
     return " ".join(parts)
 
 
-def _term_body(group: FiniteGroup, g: int, magnitude: Fraction) -> str:
+def _term_body(group: FiniteGroup, g: int, magnitude: int, den: int) -> str:
+    """The term for g with coefficient magnitude / den, reduced as ``str(Fraction)`` is."""
+    common = gcd(magnitude, den)
+    m, d = magnitude // common, den // common
     if g == group.identity:
-        return str(magnitude)
+        return str(m) if d == 1 else f"{m}/{d}"
     name = group.names[g]
-    if magnitude == 1:
-        return name
-    return f"{magnitude}*{name}"
+    if d == 1:
+        return name if m == 1 else f"{m}*{name}"
+    return f"{m}/{d}*{name}"
 
 
 def involute_classical(a: AlgebraElement) -> AlgebraElement:
     """The linear extension of g -> g^-1."""
-    inv = a.group.inv
-    return AlgebraElement(a.group, {inv[g]: c for g, c in a.coeff.items()})
+    # The coefficient of g in the result is that of g^-1 in a.
+    moved = list(map(a.num.__getitem__, a.group.inv))
+    return AlgebraElement._from_numerators(a.group, moved, a.den)
 
 
 def involute_oriented(a: AlgebraElement, orientation: Orientation) -> AlgebraElement:
     """The linear extension of g -> sign(g) * g^-1."""
     _check_same_group(a.group, orientation.group)
-    inv = a.group.inv
-    sign = orientation.sign
-    return AlgebraElement(a.group, {inv[g]: c * sign[g] for g, c in a.coeff.items()})
+    # The coefficient of g in the result is sign(g^-1) = sign(g) times
+    # that of g^-1 in a.
+    moved = list(map(operator.mul, map(a.num.__getitem__, a.group.inv), orientation.sign))
+    return AlgebraElement._from_numerators(a.group, moved, a.den)
 
 
 def involute(a: AlgebraElement, orientation: Orientation | None = None) -> AlgebraElement:
@@ -278,10 +324,16 @@ def regular_representation(a: AlgebraElement) -> list[list[Fraction]]:
     multiplicative: the matrix of a product is the product of the
     matrices, and ``a`` is invertible exactly when the matrix is.
     """
+    den = a.den
+    return [[Fraction(v, den) if v else _ZERO for v in row] for row in _regular_numerators(a)]
+
+
+def _regular_numerators(a: AlgebraElement) -> list[list[int]]:
+    """The regular representation of ``a`` times ``a.den``, an integer matrix."""
     n = a.group.order
     mul = a.group.mul
-    mat = [[_ZERO] * n for _ in range(n)]
-    for h, c in a.coeff.items():
+    mat = [[0] * n for _ in range(n)]
+    for h, c in a._terms():
         row = mul[h]
         for g in range(n):
             mat[row[g]][g] = c  # right multiplication by g is injective
@@ -291,7 +343,8 @@ def regular_representation(a: AlgebraElement) -> list[list[Fraction]]:
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """One exact solution of matrix * x = rhs, or None when inconsistent.
 
-    Each row is scaled, with its right-hand side, to integers, and the
+    Entries are ``Fraction`` or ``int``. Each row is scaled, with its
+    right-hand side, to integers (integer rows as they are), and the
     system is brought to echelon form by fraction-free elimination
     (Bareiss 1968): every entry stays an integer minor of the scaled
     system and each division by the previous pivot is exact. Free
@@ -348,16 +401,16 @@ def oracle_inverse(a: AlgebraElement) -> AlgebraElement | None:
 
     Solves the regular-representation system for a right inverse and
     re-checks the product before returning; a one-sided inverse is
-    two-sided here because the algebra is finite dimensional.
+    two-sided here because the algebra is finite dimensional. With
+    a = N / d the system is N x = d * 1, on integers.
     """
     group = a.group
-    mat = regular_representation(a)
-    rhs = [_ZERO] * group.order
-    rhs[group.identity] = _ONE
-    x = solve_linear(mat, rhs)
+    rhs = [0] * group.order
+    rhs[group.identity] = a.den
+    x = solve_linear(_regular_numerators(a), rhs)
     if x is None:
         return None
-    b = AlgebraElement(group, dict(enumerate(x)))
+    b = AlgebraElement(group, enumerate(x))
     if a * b != AlgebraElement.one(group):
         raise ArithmeticError("solver returned a vector that is not an inverse")
     return b
@@ -371,9 +424,7 @@ def element_to_json(a: AlgebraElement) -> dict:
     """
     return {
         "group": a.group.name,
-        "coeffs": [
-            {"elem": a.group.names[g], "value": str(a.coeff[g])} for g in sorted(a.coeff)
-        ],
+        "coeffs": [{"elem": a.group.names[g], "value": str(c)} for g, c in a.coeff.items()],
     }
 
 

@@ -15,6 +15,7 @@ from . import sequences
 from .algebra import (
     AlgebraElement,
     GroupMismatchError,
+    _integer_numerators,
     involute_classical,
     is_skew,
     is_unitary,
@@ -71,14 +72,14 @@ def _check_orientation(group: FiniteGroup, orientation: Orientation | None) -> N
         )
 
 
-def _on_powers(group: FiniteGroup, x: int, coeffs) -> AlgebraElement:
-    """Place a coefficient list on 1, x, x^2, ..."""
-    pairs = []
+def _on_powers(group: FiniteGroup, x: int, nums: list[int], den: int) -> AlgebraElement:
+    """Place the coefficients nums[i] / den on x^i; at most one per power of x."""
+    out = [0] * group.order
     g = group.identity
-    for c in coeffs:
-        pairs.append((g, c))
+    for c in nums:
+        out[g] = c
         g = group.mul[g][x]
-    return AlgebraElement(group, pairs)
+    return AlgebraElement._from_numerators(group, out, den)
 
 
 def cayley_transform(
@@ -120,10 +121,9 @@ def cayley_from_difference(
     beta = AlgebraElement(group, {x: f, group.inv[x]: -f})
     if f == 0:
         return CayleyResult(one, beta, "closed-form", one)
-    a = sequences.inverse_coeffs_difference(n, f)
-    b = sequences.unit_coeffs_difference(a, n, f)
-    inverse = _on_powers(group, x, a)
-    unit = _on_powers(group, x, b)
+    a, b, d = sequences._difference_numerators(n, f)
+    inverse = _on_powers(group, x, a, d)
+    unit = _on_powers(group, x, b, d)
     return certify(CayleyResult(unit, beta, "closed-form", inverse), orientation)
 
 
@@ -147,9 +147,11 @@ def cayley_from_self_inverse(
     beta = AlgebraElement(group, {x: f})
     if f == 1 or f == -1:
         return None
-    d = 1 - f * f
-    inverse = AlgebraElement(group, {group.identity: 1 / d, x: -f / d})
-    unit = AlgebraElement(group, {group.identity: (1 + f * f) / d, x: -2 * f / d})
+    # Over r^2 for q = p/r; the powers of x are 1 and x.
+    p, r = f.numerator, f.denominator
+    d = r * r - p * p
+    inverse = _on_powers(group, x, [r * r, -p * r], d)
+    unit = _on_powers(group, x, [r * r + p * p, -2 * p * r], d)
     return certify(CayleyResult(unit, beta, "closed-form", inverse), orientation)
 
 
@@ -168,12 +170,13 @@ def cayley_from_sum(
     if n % 2 or n < 4:
         raise WrongKindError("sum generators need even order at least 4")
     beta = AlgebraElement(group, {x: Fraction(1), group.inv[x]: Fraction(1)})
-    a = sequences.inverse_coeffs_sum(n)
-    if a is None:
+    coeffs = sequences.inverse_coeffs_sum(n)
+    if coeffs is None:
         return None
-    b = sequences.unit_coeffs_sum(a)
-    inverse = _on_powers(group, x, a)
-    unit = _on_powers(group, x, b)
+    a, d = _integer_numerators(coeffs)
+    inverse = _on_powers(group, x, a, d)
+    # b_0 = 2 a_0 - 1 and b_k = 2 a_k, as in unit_coeffs_sum.
+    unit = _on_powers(group, x, [2 * a[0] - d] + [2 * ak for ak in a[1:]], d)
     return certify(CayleyResult(unit, beta, "closed-form", inverse), orientation)
 
 
@@ -203,8 +206,7 @@ def inverse_of_one_plus(group: FiniteGroup, x: int) -> AlgebraElement | None:
     n = group.element_order(x)
     if n % 2 == 0:
         return None
-    half = Fraction(1, 2)
-    return _on_powers(group, x, [-half if i % 2 else half for i in range(n)])
+    return _on_powers(group, x, [-1 if i % 2 else 1 for i in range(n)], 2)
 
 
 TABLE_ORDERS = (4, 8, 10, 14, 16)

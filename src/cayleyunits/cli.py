@@ -46,6 +46,10 @@ EXIT_ARITHMETIC_ERROR = 5
 
 _CATALOG = {"d4": dihedral4, "q8": quaternion8, "s3": symmetric3}
 
+# A cyclic group is a dense order x order table; larger orders are refused.
+MAX_CYCLIC_ORDER = 4096
+_GROUP_HELP = f"C<n> (n <= {MAX_CYCLIC_ORDER}), D4, Q8, S3 or a group-table file"
+
 
 class CliInputError(Exception):
     """Invalid command-line input; maps to exit code 3."""
@@ -56,13 +60,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _check_cyclic_order(n: int) -> None:
+    if n > MAX_CYCLIC_ORDER:
+        raise CliInputError(f"cyclic order {n} is above the cap of {MAX_CYCLIC_ORDER}")
+
+
 def resolve_group(name: str) -> FiniteGroup:
     """A catalog name (C<n>, D4, Q8, S3, case-insensitive) or a table file."""
     low = name.lower()
     if low in _CATALOG:
         return _CATALOG[low]()
     if re.fullmatch(r"c[0-9]+", low):
-        return cyclic(int(low[1:]))
+        n = int(low[1:])
+        _check_cyclic_order(n)
+        return cyclic(n)
     if Path(name).is_file():
         return load_group_table(name)
     raise CliInputError(
@@ -136,6 +147,8 @@ def cmd_table(args) -> int:
             raise CliInputError(f"bad order list {args.orders!r}") from None
         if not orders:
             raise CliInputError("the order list is empty")
+        for n in orders:
+            _check_cyclic_order(n)
     rows = table_rows(orders)
     if args.format == "json":
         payload = []
@@ -268,35 +281,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default md)")
 
     p = sub.add_parser("table", help="units for z + z^-1 in cyclic groups of even order")
-    p.add_argument("--orders", help="comma-separated even orders (default "
-                   + ",".join(map(str, TABLE_ORDERS)) + ")")
+    p.add_argument("--orders", help="comma-separated even orders, at most "
+                   f"{MAX_CYCLIC_ORDER} (default " + ",".join(map(str, TABLE_ORDERS)) + ")")
     add_format(p)
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("unit", help="build one Cayley unit from a skew generator")
-    p.add_argument("--group", required=True, help="C<n>, D4, Q8, S3 or a group-table file")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
     p.add_argument("--orient", help='generator signs, e.g. "x:+1,y:-1" (default classical)')
     p.add_argument("--kind", choices=("L1", "L2", "L3", "generic"), required=True,
                    help="shape of beta: L1 = q*(g - g^-1), L2 = q*g, L3 = g + g^-1, "
                         "generic = q times any skew expression")
     p.add_argument("--element", required=True,
                    help="a group element (or any skew expression for --kind generic); "
-                        "write a leading minus sign as --element=-x")
+                        "a leading minus sign is allowed, as in --element -x")
     p.add_argument("--q", default="1", help="rational scalar (default 1)")
     add_format(p)
     p.set_defaults(handler=cmd_unit)
 
     p = sub.add_parser("skew-basis", help="spanning set of the skew-symmetric elements")
-    p.add_argument("--group", required=True, help="C<n>, D4, Q8, S3 or a group-table file")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
     p.add_argument("--orient", help='generator signs, e.g. "x:+1,y:-1" (default classical)')
     add_format(p)
     p.set_defaults(handler=cmd_skew_basis)
 
     p = sub.add_parser("inverse", help="exact inverse of an algebra element, if any")
-    p.add_argument("--group", required=True, help="C<n>, D4, Q8, S3 or a group-table file")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
     p.add_argument("--element", required=True,
-                   help="an algebra-element expression; write a leading minus sign "
-                        "as --element=-x")
+                   help="an algebra-element expression; a leading minus sign is "
+                        "allowed, as in --element -x")
     add_format(p)
     p.set_defaults(handler=cmd_inverse)
 
@@ -309,10 +322,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_element_values(argv: list[str]) -> list[str]:
+    """Join ``--element`` with a following value that starts with one minus sign.
+
+    argparse reads a lone "-x" as an unknown option; "--element=-x" is the
+    same request in the form it accepts.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok == "--element" and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"--element={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_element_values(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

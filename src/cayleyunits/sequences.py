@@ -38,6 +38,41 @@ def _fibonacci_like_list(q: Fraction, upto: int) -> list[Fraction]:
     return vals
 
 
+def _difference_numerators(n: int, q: Fraction) -> tuple[list[int], list[int], int]:
+    """Integer numerators of inverse_coeffs_difference and unit_coeffs_difference.
+
+    Returns (a, b, D) with a_i / D and b_i / D the coefficients and D > 0.
+    With q = p/r, the integers H_i = r^i G_i satisfy H_0 = 0, H_1 = r and
+    H_i = p^2 H_{i-2} + r H_{i-1}; multiplying both sides of each closed
+    form by r^(n+1) gives
+
+        a_i = r (p^(n-i) H_i + (-p)^i H_{n-i}) / D,
+        b_0 = (r H_n - 2 p^2 H_{n-1} + r p^n (1 + (-1)^n)) / D,  b_i = 2 a_i,
+        D   = H_{n+1} + p^2 H_{n-1} - r p^n (1 + (-1)^n).
+
+    Same preconditions as inverse_coeffs_difference.
+    """
+    if n <= 2:
+        raise ValueError("cycle order must exceed 2")
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    p, r = q.numerator, q.denominator
+    h = [0, r]
+    while len(h) <= n + 1:
+        h.append(p * p * h[-2] + r * h[-1])
+    parity = r * p**n * (1 + (-1) ** n)
+    denom = h[n + 1] + p * p * h[n - 1] - parity
+    b0 = r * h[n] - 2 * p * p * h[n - 1] + parity
+    if denom == 0:
+        raise ArithmeticError("denominator vanished; this should be impossible")
+    sign = 1 if denom > 0 else -1  # D can be negative; the result's is positive
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * p)
+    a = [sign * r * (powers[n - i] * h[i] + (-1) ** i * powers[i] * h[n - i]) for i in range(n)]
+    return a, [sign * b0] + [2 * ai for ai in a[1:]], sign * denom
+
+
 def fibonacci_like_closed(q, i: int) -> Fraction:
     """Binomial closed form of fibonacci_like for i >= 1.
 

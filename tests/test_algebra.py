@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyunits import (
     AlgebraElement,
@@ -28,7 +30,7 @@ from cayleyunits import (
     solve_linear,
     symmetric3,
 )
-from helpers import elements, mat_mul, random_skew
+from helpers import elements, mat_mul, random_skew, rationals
 
 S3 = symmetric3()
 Q8 = quaternion8()
@@ -353,3 +355,82 @@ def test_involute_dispatch_matches_named_forms(a):
     assert involute(a) == involute_classical(a)
     orientation = orientation_from_generators(D4, {"x": -1, "y": 1})
     assert involute(a, orientation) == involute_oriented(a, orientation)
+
+
+C12 = cyclic(12)
+KERNEL_CASES = [
+    (S3, S3_ORIENT),
+    (Q8, orientation_from_generators(Q8, {"x": 1, "y": -1})),
+    (cyclic(5), None),
+    (C12, orientation_from_generators(C12, {"x": -1})),
+]
+
+
+def _fraction_terms(group):
+    return st.dictionaries(st.integers(0, group.order - 1), rationals(), max_size=group.order)
+
+
+def _nonzero(terms):
+    return {g: c for g, c in sorted(terms.items()) if c}
+
+
+def _reference_combination(x, y, sign):
+    out = dict(x)
+    for g, c in y.items():
+        out[g] = out.get(g, Fraction(0)) + sign * c
+    return _nonzero(out)
+
+
+def _reference_format(group, terms):
+    """The printed form, term by term from Fractions."""
+    parts = []
+    for g, c in _nonzero(terms).items():
+        m, name = abs(c), group.names[g]
+        body = str(m) if g == group.identity else name if m == 1 else f"{m}*{name}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_integer_kernel_matches_fraction_reference(data):
+    group, orientation = data.draw(st.sampled_from(KERNEL_CASES))
+    x = data.draw(_fraction_terms(group))
+    y = data.draw(_fraction_terms(group))
+    q = data.draw(rationals())
+    a, b = AlgebraElement(group, x), AlgebraElement(group, y)
+    assert a.coeff == _nonzero(x)
+    assert all(a.coefficient(g) == x.get(g, 0) for g in group.elements())
+    assert format_element(a) == _reference_format(group, x)
+    assert (a + b).coeff == _reference_combination(x, y, 1)
+    assert (a - b).coeff == _reference_combination(x, y, -1)
+    assert (-a).coeff == _nonzero({g: -c for g, c in x.items()})
+    assert (q * a).coeff == (a * q).coeff == _nonzero({g: q * c for g, c in x.items()})
+    assert (a * b).coeff == _reference_product(a, b)
+    inv = group.inv
+    assert involute_classical(a).coeff == _nonzero({inv[g]: c for g, c in x.items()})
+    if orientation is not None:
+        sign = orientation.sign
+        assert involute_oriented(a, orientation).coeff == \
+            _nonzero({inv[g]: sign[g] * c for g, c in x.items()})
+    for e in (a, b, a + b, a * b, q * a):
+        assert e.den > 0 and gcd(e.den, *e.num) == 1
+        assert all(type(c) is Fraction for c in e.coeff.values())
+
+
+def test_equal_elements_over_different_denominators_compare_equal():
+    group = cyclic(4)
+    a = AlgebraElement(group, {0: Fraction(2, 6), 1: Fraction(4, 6)})
+    b = AlgebraElement._from_numerators(group, [10, 20, 0, 0], 30)
+    c = AlgebraElement._from_numerators(group, [-1, -2, 0, 0], -3)
+    assert a == b == c
+    assert (a.num, a.den) == ((1, 2, 0, 0), 3)
+    assert Fraction(1, 3) * (3 * a) == a
+    zero = a - c
+    assert zero == AlgebraElement.zero(group)
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero.coeff == {} and zero.support() == () and not zero
+    assert AlgebraElement(group, [(2, Fraction(1, 3)), (2, Fraction(-1, 3))]).coeff == {}
+    with pytest.raises(TypeError):
+        a.coeff[0] = Fraction(1)

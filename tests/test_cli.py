@@ -227,3 +227,29 @@ def test_missing_required_arguments_exit_invalid(capsys):
     assert code == 3
     code, _, err = run(capsys, "nonsense")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["inverse", "--group", "C5", "--element", "-x"],
+    ["inverse", "--group", "C5", "--element", "-x + 2", "--format", "json"],
+    ["unit", "--group", "C5", "--kind", "generic", "--element", "-x + x^4", "--q", "2"],
+    ["unit", "--group", "C5", "--kind", "L1", "--element", "-x"],
+])
+def test_leading_minus_element_as_separate_argument(capsys, argv):
+    i = argv.index("--element")
+    joined = argv[:i] + [f"--element={argv[i + 1]}"] + argv[i + 2:]
+    assert run(capsys, *argv) == run(capsys, *joined)
+
+
+def test_cyclic_orders_above_the_cap_are_refused(capsys):
+    from cayleyunits.cli import MAX_CYCLIC_ORDER
+
+    assert MAX_CYCLIC_ORDER == 4096
+    too_big = str(MAX_CYCLIC_ORDER + 1)
+    for argv in (["inverse", "--group", f"C{too_big}", "--element", "x"],
+                 ["unit", "--group", f"c{too_big}", "--kind", "L1", "--element", "x"],
+                 ["skew-basis", "--group", f"C{10 ** 30}"],
+                 ["table", "--orders", f"4,{too_big}"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and str(MAX_CYCLIC_ORDER) in err

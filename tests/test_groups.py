@@ -1,5 +1,7 @@
 """Group tables, the catalog constructions, orientations, and table import."""
 
+import itertools
+
 import pytest
 
 from cayleyunits import (
@@ -181,4 +183,62 @@ def test_load_group_table_rejects_bad_input(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
+        load_group_table(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 385])
+def test_cyclic_table_is_addition_mod_n(n):
+    group = cyclic(n)
+    assert group.mul == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    assert group.inv == tuple((-a) % n for a in range(n))
+
+
+def _brute_force_outcome(group, signs):
+    """The homomorphisms onto {+1, -1} with the given generator signs, by exhaustion."""
+    n = group.order
+    for sign in itertools.product((1, -1), repeat=n):
+        if any(sign[g] != s for (_, g), s in zip(group.generators, signs)):
+            continue
+        if all(sign[group.mul[g][h]] == sign[g] * sign[h] for g in range(n) for h in range(n)):
+            return TrivialOrientationError if -1 not in sign else sign
+    return InconsistentOrientationError
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(n) for n in range(1, 13)] + [symmetric3(), quaternion8(), dihedral4()],
+    ids=lambda g: g.name,
+)
+def test_orientation_matches_brute_force_homomorphisms(group):
+    for signs in itertools.product((1, -1), repeat=len(group.generators)):
+        assignment = {name: s for (name, _), s in zip(group.generators, signs)}
+        expected = _brute_force_outcome(group, signs)
+        if isinstance(expected, tuple):
+            assert orientation_from_generators(group, assignment).sign == expected
+        else:
+            with pytest.raises(expected):
+                orientation_from_generators(group, assignment)
+
+
+# Generator 1 reaches every element (0, 1, 2, 3). Of the seven failing
+# triples (x*b)*y != x*(b*y), only (2, 1, 1) has the generator in the middle,
+# and the first one in index order, (1, 2, 1), does not.
+NON_ASSOCIATIVE_TABLE = """\
+4
+0 1 2 3
+1 2 3 3
+2 3 3 3
+3 2 3 3
+1
+"""
+
+
+def test_load_group_table_finds_non_associativity_through_the_generators(tmp_path):
+    rows = [[int(v) for v in line.split()] for line in NON_ASSOCIATIVE_TABLE.splitlines()[1:5]]
+    failing = [(x, b, y) for x in range(4) for b in range(4) for y in range(4)
+               if rows[rows[x][b]][y] != rows[x][rows[b][y]]]
+    assert len(failing) == 7 and [t for t in failing if t[1] == 1] == [(2, 1, 1)]
+    path = tmp_path / "magma.txt"
+    path.write_text(NON_ASSOCIATIVE_TABLE)
+    with pytest.raises(ValueError, match="associative"):
         load_group_table(path)

@@ -170,3 +170,20 @@ def test_unit_coeffs_sum():
     b = unit_coeffs_sum(inverse_coeffs_sum(8))
     assert b[0] == Fraction(-5, 3)
     assert b[1] == Fraction(4, 3)
+
+
+def test_integer_numerators_match_the_fraction_closed_forms():
+    from cayleyunits.sequences import _difference_numerators
+
+    grid = Q_GRID + (Fraction(-1, 2), Fraction(3, 7), Fraction(-5, 3))
+    for n in range(3, 40):
+        for q in grid:
+            a, b, d = _difference_numerators(n, q)
+            assert d > 0
+            expected_a = inverse_coeffs_difference(n, q)
+            assert [Fraction(c, d) for c in a] == expected_a
+            assert [Fraction(c, d) for c in b] == unit_coeffs_difference(expected_a, n, q)
+    with pytest.raises(ValueError):
+        _difference_numerators(2, Fraction(1))
+    with pytest.raises(ValueError):
+        _difference_numerators(5, Fraction(0))
