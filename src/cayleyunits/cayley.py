@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import sequences
 from .algebra import (
     AlgebraElement,
-    GroupMismatchError,
+    _check_same_group,
     _integer_numerators,
     involute_classical,
     is_skew,
@@ -65,13 +65,6 @@ def certify(result: CayleyResult, orientation: Orientation | None) -> CayleyResu
     return result
 
 
-def _check_orientation(group: FiniteGroup, orientation: Orientation | None) -> None:
-    if orientation is not None and orientation.group != group:
-        raise GroupMismatchError(
-            f"orientation is for {orientation.group.name}, not {group.name}"
-        )
-
-
 def _on_powers(group: FiniteGroup, x: int, nums: list[int], den: int) -> AlgebraElement:
     """Place the coefficients nums[i] / den on x^i; at most one per power of x."""
     out = [0] * group.order
@@ -90,7 +83,7 @@ def cayley_transform(
     Returns None when 1 + beta is not invertible. beta must be
     skew-symmetric for the chosen involution.
     """
-    _check_orientation(beta.group, orientation)
+    # is_skew raises GroupMismatchError for an orientation of another group.
     if not is_skew(beta, orientation):
         raise ValueError("beta is not skew-symmetric under the chosen involution")
     one = AlgebraElement.one(beta.group)
@@ -110,10 +103,11 @@ def cayley_from_difference(
     Fibonacci-like sequence; the result is certified before it is
     returned.
     """
-    _check_orientation(group, orientation)
+    if orientation is not None:
+        _check_same_group(group, orientation.group)
+        if orientation.sign[x] != 1:
+            raise WrongKindError("difference generators need sign +1")
     f = Fraction(q)
-    if orientation is not None and orientation.sign[x] != 1:
-        raise WrongKindError("difference generators need sign +1")
     n = group.element_order(x)
     if n <= 2:
         raise ValueError("difference generators need an element of order above 2")
@@ -138,7 +132,8 @@ def cayley_from_self_inverse(
         (1 + q*x)^-1 = (1 - q*x) / (1 - q^2),
         u = ((1 + q^2) - 2*q*x) / (1 - q^2).
     """
-    _check_orientation(group, orientation)
+    if orientation is not None:
+        _check_same_group(group, orientation.group)
     if orientation is None or orientation.sign[x] != -1:
         raise WrongKindError("self-inverse generators need sign -1")
     if x == group.identity or group.mul[x][x] != group.identity:
@@ -163,7 +158,8 @@ def cayley_from_sum(
     Returns None when the order is divisible by 6 (1 + beta is a zero
     divisor there); otherwise the coefficients repeat with period 3.
     """
-    _check_orientation(group, orientation)
+    if orientation is not None:
+        _check_same_group(group, orientation.group)
     if orientation is None or orientation.sign[x] != -1:
         raise WrongKindError("sum generators need sign -1")
     n = group.element_order(x)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -51,7 +52,7 @@ MAX_CYCLIC_ORDER = 4096
 _GROUP_HELP = f"C<n> (n <= {MAX_CYCLIC_ORDER}), D4, Q8, S3 or a group-table file"
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     """Invalid command-line input; maps to exit code 3."""
 
 
@@ -257,11 +258,8 @@ def cmd_verify(args) -> int:
             "failed": len(failed),
         }, indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["label", "passed"])
-        writer.writerows([r.label, str(r.passed).lower()] for r in results)
-        print(buf.getvalue(), end="")
+        _print_rows(["label", "passed"], [[r.label, str(r.passed).lower()] for r in results],
+                    "csv")
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.label}")
@@ -269,6 +267,7 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="cayleyunits",
@@ -347,9 +346,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_element_values(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

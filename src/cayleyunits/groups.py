@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 
 
@@ -221,6 +222,18 @@ def orientation_from_generators(group: FiniteGroup, assignment) -> Orientation:
             f"the assignment extends to the constant +1 on {group.name}"
         )
     return Orientation(group, tuple(sign))
+
+
+def orientations(group: FiniteGroup) -> list[Orientation]:
+    """Every nontrivial orientation, with generator signs in ``product((1, -1), ...)`` order."""
+    names = [name for name, _ in group.generators]
+    out = []
+    for signs in product((1, -1), repeat=len(names)):
+        try:
+            out.append(orientation_from_generators(group, zip(names, signs)))
+        except (InconsistentOrientationError, TrivialOrientationError):
+            pass
+    return out
 
 
 def _words_from_generators(

@@ -42,6 +42,7 @@ from .groups import (
     cyclic,
     dihedral4,
     orientation_from_generators,
+    orientations,
     quaternion8,
     symmetric3,
 )
@@ -63,25 +64,12 @@ def _check(label: str, passed: bool) -> CheckResult:
 
 def catalog_configurations() -> list[tuple[FiniteGroup, Orientation | None]]:
     """Catalog groups paired with every nontrivial orientation, plus classical."""
-    s3, q8, d4 = symmetric3(), quaternion8(), dihedral4()
-    configs: list[tuple[FiniteGroup, Orientation | None]] = [
-        (s3, None),
-        (s3, orientation_from_generators(s3, {"x": 1, "y": -1})),
-    ]
-    for group in (q8, d4):
-        configs.append((group, None))
-        for sx, sy in ((1, -1), (-1, 1), (-1, -1)):
-            configs.append((group, orientation_from_generators(group, {"x": sx, "y": sy})))
-    for n in (5, 7):
-        configs.append((cyclic(n), None))
-    for n in (4, 6, 10):
-        group = cyclic(n)
-        configs.append((group, None))
-        configs.append((group, orientation_from_generators(group, {"x": -1})))
-    return configs
+    groups = (symmetric3(), quaternion8(), dihedral4(), cyclic(5), cyclic(7),
+              cyclic(4), cyclic(6), cyclic(10))
+    return [(group, o) for group in groups for o in (None, *orientations(group))]
 
 
-def _random_element(rng: random.Random, group: FiniteGroup) -> AlgebraElement:
+def random_element(rng: random.Random, group: FiniteGroup) -> AlgebraElement:
     pairs = []
     for g in group.elements():
         if rng.random() < 0.6:
@@ -89,12 +77,12 @@ def _random_element(rng: random.Random, group: FiniteGroup) -> AlgebraElement:
     return AlgebraElement(group, pairs)
 
 
-def _random_skew(rng: random.Random, group, orientation) -> AlgebraElement:
-    r = _random_element(rng, group)
+def random_skew(rng: random.Random, group, orientation) -> AlgebraElement:
+    r = random_element(rng, group)
     return r - involute(r, orientation)
 
 
-def _mat_mul(a, b):
+def mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
@@ -107,8 +95,8 @@ def suite_involutions() -> list[CheckResult]:
     ok = True
     for group, orientation in configs:
         for _ in range(10):
-            a = _random_element(rng, group)
-            b = _random_element(rng, group)
+            a = random_element(rng, group)
+            b = random_element(rng, group)
             if involute(a * b, orientation) != involute(b, orientation) * involute(a, orientation):
                 ok = False
             if involute(involute(a, orientation), orientation) != a:
@@ -127,7 +115,7 @@ def suite_involutions() -> list[CheckResult]:
         basis = [materialize(sg) for sg in skew_basis(group, orientation)]
         columns = [[be.coefficient(g) for be in basis] for g in group.elements()]
         for _ in range(5):
-            target = _random_skew(rng, group, orientation)
+            target = random_skew(rng, group, orientation)
             rhs = [target.coefficient(g) for g in group.elements()]
             if solve_linear(columns, rhs) is None:
                 ok = False
@@ -146,9 +134,9 @@ def suite_involutions() -> list[CheckResult]:
     ok = True
     for group, orientation in configs[:6]:
         for _ in range(5):
-            a = _random_element(rng, group)
-            b = _random_element(rng, group)
-            if _mat_mul(regular_representation(a), regular_representation(b)) != \
+            a = random_element(rng, group)
+            b = random_element(rng, group)
+            if mat_mul(regular_representation(a), regular_representation(b)) != \
                     regular_representation(a * b):
                 ok = False
     out.append(_check("the regular representation is multiplicative", ok))
@@ -287,8 +275,7 @@ def suite_examples() -> list[CheckResult]:
 
     d4 = dihedral4()
     ok = True
-    for sx, sy in ((1, -1), (-1, 1), (-1, -1)):
-        orientation = orientation_from_generators(d4, {"x": sx, "y": sy})
+    for orientation in orientations(d4):
         for sg in skew_basis(d4, orientation):
             q = 1 if sg.kind == "L3" else Fraction(2)
             result = cayley_from_generator(sg, q, orientation)

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cayleyunits import AlgebraElement, FiniteGroup, involute
+from cayleyunits import (
+    AlgebraElement,
+    FiniteGroup,
+    dihedral4,
+    orientation_from_generators,
+    quaternion8,
+    symmetric3,
+)
+from cayleyunits.verify import mat_mul, random_element, random_skew  # noqa: F401
+
+S3 = symmetric3()
+Q8 = quaternion8()
+D4 = dihedral4()
+S3_ORIENT = orientation_from_generators(S3, {"x": 1, "y": -1})
+
+# The scalars q that the closed forms and the oracle are compared on.
+Q_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
 
 
 def rationals():
@@ -21,19 +36,11 @@ def elements(group: FiniteGroup):
     ).map(lambda d: AlgebraElement(group, d))
 
 
-def random_element(rng: random.Random, group: FiniteGroup) -> AlgebraElement:
+def on_powers(group, x, coeffs):
+    """The element with coeffs[i] on x^i, built term by term."""
     pairs = []
-    for g in group.elements():
-        if rng.random() < 0.6:
-            pairs.append((g, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+    g = group.identity
+    for c in coeffs:
+        pairs.append((g, c))
+        g = group.mul[g][x]
     return AlgebraElement(group, pairs)
-
-
-def random_skew(rng: random.Random, group, orientation) -> AlgebraElement:
-    r = random_element(rng, group)
-    return r - involute(r, orientation)
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]

@@ -33,13 +33,14 @@ from cayleyunits import (
     materialize,
     oracle_inverse,
     orientation_from_generators,
+    orientations,
     quaternion8,
     regular_representation,
     s3_factorization_identity,
     skew_basis,
     symmetric3,
 )
-from helpers import mat_mul, random_element, random_skew
+from helpers import Q_GRID, mat_mul, on_powers, random_element, random_skew
 
 F = Fraction
 
@@ -98,24 +99,10 @@ def test_criterion_2_multiples_of_six_are_singular():
 
 
 def _sweep_configurations():
-    configs = []
-    for n in range(3, 31):
-        group = cyclic(n)
-        configs.append((group, None))
-        if n % 2 == 0:
-            configs.append((group, orientation_from_generators(group, {"x": -1})))
-    s3 = symmetric3()
-    configs.append((s3, None))
-    configs.append((s3, orientation_from_generators(s3, {"x": 1, "y": -1})))
-    for make in (quaternion8, dihedral4):
-        group = make()
-        configs.append((group, None))
-        for sx, sy in ((1, -1), (-1, 1), (-1, -1)):
-            configs.append((group, orientation_from_generators(group, {"x": sx, "y": sy})))
-    return configs
+    groups = [cyclic(n) for n in range(3, 31)] + [symmetric3(), quaternion8(), dihedral4()]
+    return [(group, o) for group in groups for o in (None, *orientations(group))]
 
 
-Q_L1 = (F(1), F(-1), F(2), F(1, 2), F(-3))
 Q_L2 = (F(1), F(2), F(1, 2), F(-3))
 
 
@@ -127,7 +114,7 @@ def test_criterion_3_closed_forms_match_the_oracle():
         for group, orientation in _sweep_configurations():
             for sg in skew_basis(group, orientation):
                 if sg.kind == "L1":
-                    scalars = Q_L1
+                    scalars = Q_GRID
                 elif sg.kind == "L2":
                     scalars = Q_L2
                 else:
@@ -147,24 +134,13 @@ def test_criterion_3_closed_forms_match_the_oracle():
         assert elapsed < 10.0, f"took {elapsed:.3f}s"
 
 
-def _on_powers(group, x, coeffs):
-    pairs = []
-    g = group.identity
-    for c in coeffs:
-        pairs.append((g, c))
-        g = group.mul[g][x]
-    return AlgebraElement(group, pairs)
-
-
 def test_criterion_4_worked_examples():
     with _criterion(4, "the worked examples match their frozen coefficients "
                        "exactly"):
-        q_grid = (F(1), F(-1), F(2), F(1, 2), F(-3))
-
         s3 = symmetric3()
         orientation = orientation_from_generators(s3, {"x": 1, "y": -1})
         x = s3.index_of("x")
-        for q in q_grid:
+        for q in Q_GRID:
             d = 1 + 3 * q * q
             expected = AlgebraElement(s3, {
                 0: (1 - q * q) / d,
@@ -175,10 +151,10 @@ def test_criterion_4_worked_examples():
 
         for group in (cyclic(4), quaternion8(), dihedral4()):
             x = group.index_of("x")
-            for q in q_grid:
+            for q in Q_GRID:
                 d = 1 + 4 * q * q
-                expected = _on_powers(group, x,
-                                      [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
+                expected = on_powers(group, x,
+                                     [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
                 assert cayley_from_difference(group, x, q).unit == expected
 
         q8 = quaternion8()
@@ -188,26 +164,25 @@ def test_criterion_4_worked_examples():
             z = q8.index_of(word)
             result = cayley_from_sum(q8, z, orientation)
             assert result is not None
-            assert result.unit == _on_powers(q8, z, row4)
+            assert result.unit == on_powers(q8, z, row4)
 
         d4 = dihedral4()
         x = d4.index_of("x")
         t_grid = (F(2), F(1, 2), F(-3), F(0))
-        for sx, sy in ((1, -1), (-1, 1), (-1, -1)):
-            orientation = orientation_from_generators(d4, {"x": sx, "y": sy})
+        for orientation in orientations(d4):
             for sg in skew_basis(d4, orientation):
                 if sg.kind == "L1":
-                    for q in q_grid:
+                    for q in Q_GRID:
                         d = 1 + 4 * q * q
-                        expected = _on_powers(d4, sg.base,
-                                              [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
+                        expected = on_powers(d4, sg.base,
+                                             [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
                         assert cayley_from_difference(d4, sg.base, q, orientation).unit \
                             == expected
                 elif sg.kind == "L3":
                     assert sg.base == x
                     result = cayley_from_sum(d4, x, orientation)
                     assert result is not None
-                    assert result.unit == _on_powers(d4, x, row4)
+                    assert result.unit == on_powers(d4, x, row4)
                 else:
                     for t in t_grid:
                         d = 1 - t * t

@@ -12,7 +12,6 @@ from cayleyunits import (
     AlgebraElement,
     GroupMismatchError,
     cyclic,
-    dihedral4,
     element_from_json,
     element_to_json,
     format_element,
@@ -24,18 +23,11 @@ from cayleyunits import (
     materialize,
     oracle_inverse,
     orientation_from_generators,
-    quaternion8,
     regular_representation,
     skew_basis,
     solve_linear,
-    symmetric3,
 )
-from helpers import elements, mat_mul, random_skew, rationals
-
-S3 = symmetric3()
-Q8 = quaternion8()
-D4 = dihedral4()
-S3_ORIENT = orientation_from_generators(S3, {"x": 1, "y": -1})
+from helpers import D4, Q8, S3, S3_ORIENT, elements, mat_mul, random_skew, rationals
 
 
 def test_basic_arithmetic_in_c4():

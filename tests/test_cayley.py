@@ -15,6 +15,7 @@ import cayleyunits
 from cayleyunits import (
     AlgebraElement,
     CertificationError,
+    GroupMismatchError,
     WrongKindError,
     cayley_from_difference,
     cayley_from_generator,
@@ -24,7 +25,6 @@ from cayleyunits import (
     cayley_transform,
     certify,
     cyclic,
-    dihedral4,
     inverse_of_one_plus,
     is_cayley_unit,
     is_product_of_two_cayley,
@@ -32,27 +32,9 @@ from cayleyunits import (
     materialize,
     oracle_inverse,
     orientation_from_generators,
-    quaternion8,
-    s3_factorization_identity,
     skew_basis,
-    symmetric3,
 )
-from helpers import random_skew
-
-S3 = symmetric3()
-Q8 = quaternion8()
-D4 = dihedral4()
-S3_ORIENT = orientation_from_generators(S3, {"x": 1, "y": -1})
-Q_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
-
-
-def _on_powers(group, x, coeffs):
-    pairs = []
-    g = group.identity
-    for c in coeffs:
-        pairs.append((g, c))
-        g = group.mul[g][x]
-    return AlgebraElement(group, pairs)
+from helpers import D4, Q8, Q_GRID, S3, S3_ORIENT, on_powers, random_skew
 
 
 def test_transform_of_zero_is_one():
@@ -106,15 +88,6 @@ def test_difference_unit_in_s3():
         assert is_unitary(result.unit, S3_ORIENT)
         classical = cayley_from_difference(S3, x, q)
         assert classical.unit == expected
-
-
-def test_difference_unit_order_four_formula():
-    for group in (cyclic(4), Q8, D4):
-        x = group.index_of("x")
-        for q in Q_GRID:
-            d = 1 + 4 * q * q
-            expected = _on_powers(group, x, [1 / d, -2 * q / d, 4 * q * q / d, 2 * q / d])
-            assert cayley_from_difference(group, x, q).unit == expected
 
 
 def test_difference_unit_fibonacci_case():
@@ -204,7 +177,7 @@ def test_sum_unit_goldens():
         z = Q8.index_of(word)
         result = cayley_from_sum(Q8, z, orientation)
         assert result is not None
-        assert result.unit == _on_powers(Q8, z, row4)
+        assert result.unit == on_powers(Q8, z, row4)
         assert is_unitary(result.unit, orientation)
 
     group = cyclic(8)
@@ -247,6 +220,17 @@ def test_generator_dispatch_agrees_with_direct_calls():
         l3 = next(sg for sg in skew_basis(Q8, orientation_from_generators(
             Q8, {"x": 1, "y": -1})) if sg.kind == "L3")
         cayley_from_generator(l3, 2, orientation_from_generators(Q8, {"x": 1, "y": -1}))
+
+
+def test_orientation_of_another_group_is_rejected():
+    group, other = cyclic(8), orientation_from_generators(cyclic(4), {"x": -1})
+    beta = AlgebraElement(group, {1: Fraction(1), 7: Fraction(-1)})
+    for call in (lambda: cayley_transform(beta, other),
+                 lambda: cayley_from_difference(group, 1, 1, other),
+                 lambda: cayley_from_self_inverse(group, 4, 2, other),
+                 lambda: cayley_from_sum(group, 5, other)):
+        with pytest.raises(GroupMismatchError):
+            call()
 
 
 def test_certify_raises_on_each_failed_identity():
@@ -349,17 +333,3 @@ def test_product_witness_rejects_bad_arguments():
     u = AlgebraElement.basis_element(group, 2)
     with pytest.raises(ValueError, match="invertible"):
         is_product_of_two_cayley(u, bad_witness, orientation)
-
-
-def test_y_is_not_a_product_of_two_cayley_units():
-    y = AlgebraElement.basis_element(S3, S3.index_of("y"))
-    x = S3.index_of("x")
-    for q in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3, 7)):
-        witness = AlgebraElement(S3, {x: q, S3.inv[x]: -q})
-        assert not is_product_of_two_cayley(y, witness)
-
-
-def test_s3_factorization_identity_grid():
-    for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-              Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7)):
-        assert s3_factorization_identity(q)

@@ -21,6 +21,39 @@ EXPECTED_TABLE_MD = """\
 """
 
 
+EXPECTED_VERIFY_MD = """\
+PASS  the involution reverses products and squares to the identity
+PASS  every skew generator materializes to a skew element
+PASS  random skew elements lie in the span of the generator set
+PASS  group elements are unitary exactly when their sign is +1
+PASS  the regular representation is multiplicative
+PASS  the Fibonacci-like sequence at q = 1 is the Fibonacci sequence
+PASS  the binomial closed form matches the recurrence
+PASS  difference-inverse coefficients solve their convolution system
+PASS  period-3 inverse coefficients satisfy the defining system
+PASS  the companion sequence starts 2, 2, -4, -16, -16, 32 and stays even
+PASS  the companion closed form reproduces the period-3 coefficients
+PASS  closed form and oracle agree on the order-4 unit
+PASS  closed form and oracle agree on the order-8 unit
+PASS  closed form and oracle agree on the order-10 unit
+PASS  closed form and oracle agree on the order-14 unit
+PASS  closed form and oracle agree on the order-16 unit
+PASS  order 6 is refused by the closed form and singular for the oracle
+PASS  order 12 is refused by the closed form and singular for the oracle
+PASS  order 18 is refused by the closed form and singular for the oracle
+PASS  the S3 difference unit matches its three-term formula
+PASS  order-4 difference units match their formula in C4, Q8 and D4
+PASS  both order-4 sum units in Q8 match the frozen coefficients
+PASS  all D4 orientations: closed forms agree with the oracle
+PASS  odd-order group elements are transforms of their skew preimage
+PASS  the factorization identity holds across the q grid
+PASS  y in rational S3 is unitary for the classical involution but is not a Cayley unit
+PASS  the classical skew elements of S3 are the multiples of x - x^-1
+PASS  no admissible witness factors y into two Cayley units
+28 passed, 0 failed
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -204,11 +237,7 @@ def test_group_table_file_input(capsys, tmp_path):
 
 
 def test_verify_command(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "counterexample")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("0 failed")
+    assert run(capsys, "verify", "--suite", "all") == (0, EXPECTED_VERIFY_MD, "")
     code, out, _ = run(capsys, "verify", "--suite", "table", "--format", "json")
     assert code == 0
     payload = json.loads(out)

@@ -11,6 +11,7 @@ from cayleyunits import (
     dihedral4,
     load_group_table,
     orientation_from_generators,
+    orientations,
     quaternion8,
     symmetric3,
 )
@@ -210,14 +211,17 @@ def _brute_force_outcome(group, signs):
     ids=lambda g: g.name,
 )
 def test_orientation_matches_brute_force_homomorphisms(group):
+    homomorphisms = []
     for signs in itertools.product((1, -1), repeat=len(group.generators)):
         assignment = {name: s for (name, _), s in zip(group.generators, signs)}
         expected = _brute_force_outcome(group, signs)
         if isinstance(expected, tuple):
             assert orientation_from_generators(group, assignment).sign == expected
+            homomorphisms.append(expected)
         else:
             with pytest.raises(expected):
                 orientation_from_generators(group, assignment)
+    assert [o.sign for o in orientations(group)] == homomorphisms
 
 
 # Generator 1 reaches every element (0, 1, 2, 3). Of the seven failing

@@ -11,16 +11,14 @@ from cayleyunits import (
     ElementSyntaxError,
     UnknownGeneratorError,
     cyclic,
-    dihedral4,
     format_element,
     parse_element,
     quaternion8,
     symmetric3,
 )
-from helpers import elements
+from helpers import D4, elements
 
 C4 = cyclic(4)
-D4 = dihedral4()
 
 
 def test_parse_sums_and_powers():

@@ -18,8 +18,7 @@ from cayleyunits import (
     unit_coeffs_difference,
     unit_coeffs_sum,
 )
-
-Q_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
+from helpers import Q_GRID
 
 
 def test_fibonacci_values():
